@@ -103,7 +103,7 @@ fn write(
     fill: u8,
 ) {
     let mut op = idx.to_be_bytes().to_vec();
-    op.extend(std::iter::repeat(fill).take(VALUE_BYTES));
+    op.extend(std::iter::repeat_n(fill, VALUE_BYTES));
     let mut env = ExecEnv::new(1, rng);
     svc.execute(&op, 1, &[], false, &mut env);
 }

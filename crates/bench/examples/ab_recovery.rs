@@ -1,6 +1,5 @@
-//! A/B comparison: erasure-coded state transfer + chunked Merkle leaves vs
-//! the legacy whole-object fetch path, on the replicated-NFS recovery
-//! workload.
+//! A/B comparison: chunked Merkle leaves vs the legacy whole-object fetch
+//! path, on the replicated-NFS recovery workload.
 //!
 //! Scenario (shared by every cell): 128 live 8 KiB files are fully
 //! replicated; replica 3 then sleeps through an update burst that touches
@@ -8,18 +7,14 @@
 //! that pushes the group past a checkpoint, so the sleeper must recover by
 //! state transfer when it wakes.
 //!
-//! Three cells:
+//! Two cells:
 //!
-//! * `legacy` — whole objects fetched from single sources (the seed path).
-//! * `coded` — `coded_transfer = true, chunk_size = 0`: each object is
-//!   striped into `k = f+1` systematic fragments fetched from distinct
-//!   sources in parallel, plus `m = f` parity on demand. The digest scheme
-//!   is unchanged, so the installed state must be *byte-identical* to the
-//!   legacy cell: same converged root.
-//! * `coded_chunked` — `chunk_size = 1024`: leaf digests fold per-chunk
-//!   hashes, the fetcher pulls the verified chunk-digest list and re-fetches
-//!   only the chunks that differ from its stale local copy. A 256-byte edit
-//!   to an 8 KiB file moves ~1 chunk instead of 8.
+//! * `legacy` — `chunk_size = 0`: whole objects fetched from single
+//!   sources.
+//! * `chunked` — `chunk_size = 1024`: leaf digests fold per-chunk hashes,
+//!   the fetcher pulls the verified chunk-digest list and re-fetches only
+//!   the chunks that differ from its stale local copy, each whole from one
+//!   source. A 256-byte edit to an 8 KiB file moves ~1 chunk instead of 8.
 //!
 //! Every reported field is deterministic (virtual time, seeded RNG); the
 //! harness runs the legacy and chunked cells twice and asserts byte-identical
@@ -49,7 +44,6 @@ struct Cell {
     fetched_bytes: u64,
     meta_queries: u64,
     chunk_queries: u64,
-    frag_queries: u64,
     chunks_reused: u64,
     retransmissions: u64,
     corrupt_replies: u64,
@@ -61,15 +55,14 @@ impl Cell {
     fn to_json(&self) -> String {
         format!(
             "{{\"name\":\"{}\",\"fetched_objects\":{},\"fetched_bytes\":{},\
-             \"meta_queries\":{},\"chunk_queries\":{},\"frag_queries\":{},\
-             \"chunks_reused\":{},\"retransmissions\":{},\"corrupt_replies\":{},\
+             \"meta_queries\":{},\"chunk_queries\":{},\"chunks_reused\":{},\
+             \"retransmissions\":{},\"corrupt_replies\":{},\
              \"fetch_ms\":{},\"root\":\"{}\"}}",
             self.name,
             self.fetched_objects,
             self.fetched_bytes,
             self.meta_queries,
             self.chunk_queries,
-            self.frag_queries,
             self.chunks_reused,
             self.retransmissions,
             self.corrupt_replies,
@@ -79,7 +72,7 @@ impl Cell {
     }
 }
 
-fn run_cell(name: &'static str, coded: bool, chunk_size: usize) -> Cell {
+fn run_cell(name: &'static str, chunk_size: usize) -> Cell {
     let root = Oid::ROOT;
     let dir = Oid { index: 1, gen: 1 };
     let file = |i: u32| Oid { index: 2 + i, gen: 1 };
@@ -114,10 +107,7 @@ fn run_cell(name: &'static str, coded: bool, chunk_size: usize) -> Cell {
         4,
         FsMix::Heterogeneous,
         ScriptDriver::new(script),
-        |cfg| {
-            cfg.coded_transfer = coded;
-            cfg.chunk_size = chunk_size;
-        },
+        |cfg| cfg.chunk_size = chunk_size,
     );
 
     let done_a = |s: &Simulation| {
@@ -162,7 +152,6 @@ fn run_cell(name: &'static str, coded: bool, chunk_size: usize) -> Cell {
         meta_queries: stats.state_transfer_meta_queries
             - stats_before.state_transfer_meta_queries,
         chunk_queries: counter("transfer.chunk_queries"),
-        frag_queries: counter("transfer.frag_queries"),
         chunks_reused: counter("transfer.chunks_reused"),
         retransmissions: counter("transfer.retransmissions"),
         corrupt_replies: counter("transfer.corrupt_replies"),
@@ -173,27 +162,16 @@ fn run_cell(name: &'static str, coded: bool, chunk_size: usize) -> Cell {
 }
 
 fn main() {
-    let legacy = run_cell("legacy", false, 0);
-    let coded = run_cell("coded", true, 0);
-    let chunked = run_cell("coded_chunked", true, CHUNK);
+    let legacy = run_cell("legacy", 0);
+    let chunked = run_cell("chunked", CHUNK);
 
     // Determinism: a second pass reproduces the exact JSON.
-    assert_eq!(legacy.to_json(), run_cell("legacy", false, 0).to_json(), "legacy cell drifted");
-    assert_eq!(
-        chunked.to_json(),
-        run_cell("coded_chunked", true, CHUNK).to_json(),
-        "chunked cell drifted"
-    );
+    assert_eq!(legacy.to_json(), run_cell("legacy", 0).to_json(), "legacy cell drifted");
+    assert_eq!(chunked.to_json(), run_cell("chunked", CHUNK).to_json(), "chunked cell drifted");
 
-    // Same digest scheme, so coded recovery must install byte-identical
-    // state: the converged root equals the legacy cell's.
-    assert_eq!(legacy.root, coded.root, "coded recovery altered the installed state");
-    // The coded path really ran on fragments, not whole objects.
-    assert!(coded.frag_queries >= 2 * coded.fetched_objects, "k = 2 queries per object");
-
-    // The point of the tentpole: a small edit to a big object moves only
-    // the touched chunks. The chunked cell must reuse local chunks and
-    // move substantially fewer bytes than the whole-object path.
+    // A small edit to a big object moves only the touched chunks. The
+    // chunked cell must reuse local chunks and move substantially fewer
+    // bytes than the whole-object path.
     assert!(chunked.chunks_reused > 0, "no chunk reuse despite stale local copies");
     assert!(
         chunked.fetched_bytes < legacy.fetched_bytes,
@@ -205,9 +183,8 @@ fn main() {
     println!(
         "{{\"bench\":\"ab_recovery\",\"live_files\":{LIVE_FILES},\"file_bytes\":{FILE_BYTES},\
          \"stale_files\":{STALE_FILES},\"edit_bytes\":{EDIT_BYTES},\"chunk_size\":{CHUNK},\
-         \"legacy\":{},\"coded\":{},\"coded_chunked\":{}}}",
+         \"legacy\":{},\"chunked\":{}}}",
         legacy.to_json(),
-        coded.to_json(),
         chunked.to_json()
     );
 }

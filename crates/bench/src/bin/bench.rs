@@ -325,7 +325,7 @@ fn measure_checkpoint(digest_workers: usize) -> CheckpointOut {
         fill: u8,
     ) {
         let mut op = idx.to_be_bytes().to_vec();
-        op.extend(std::iter::repeat(fill).take(CKPT_VALUE_BYTES));
+        op.extend(std::iter::repeat_n(fill, CKPT_VALUE_BYTES));
         let mut env = ExecEnv::new(1, rng);
         svc.execute(&op, 1, &[], false, &mut env);
     }
@@ -437,7 +437,7 @@ fn measure_transfer() -> TransferOut {
     }
 
     let run = |window: usize| -> (u64, base_pbft::transfer::FetchResult) {
-        let mut f = Fetcher::with_window(3, 4, 128, target, window);
+        let mut f = Fetcher::with_window(3, 4, 128, target, window, window);
         let mut wire = f.begin();
         let mut rounds = 0u64;
         let mut result = None;
@@ -821,7 +821,7 @@ fn field(json: &str, section: &str, key: &str) -> Option<f64> {
     let body = &rest[..end];
     let k = body.find(&format!("\"{key}\":"))?;
     let val = &body[k + key.len() + 3..];
-    let val = val.split(|c: char| c == ',' || c == '}').next()?;
+    let val = val.split([',', '}']).next()?;
     val.trim().parse().ok()
 }
 

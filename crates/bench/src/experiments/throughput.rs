@@ -93,7 +93,7 @@ pub fn measure_throughput_with(
         for i in 0..ops_per_client {
             let mut op = format!("put c{c}k{} v{i}", i % 16).into_bytes();
             let pad = value_bytes.saturating_sub(op.len());
-            op.extend(std::iter::repeat(b'x').take(pad));
+            op.extend(std::iter::repeat_n(b'x', pad));
             cl.invoke(op, false);
         }
     }

@@ -170,6 +170,9 @@ fn digest_values(
         .collect()
 }
 
+/// An object index with its abstract value (`None` = absent).
+type IndexedValue = (u64, Option<Vec<u8>>);
+
 /// Collects the abstract value of every index in `indices`, fanning the
 /// (pure, `&self`) abstraction function over `workers` scoped threads.
 ///
@@ -180,13 +183,13 @@ fn collect_values<W: Wrapper>(
     wrapper: &W,
     indices: &[u64],
     workers: usize,
-) -> Vec<(u64, Option<Vec<u8>>)> {
+) -> Vec<IndexedValue> {
     if workers <= 1 || indices.len() < 2 {
         return indices.iter().map(|&idx| (idx, wrapper.get_obj(idx))).collect();
     }
     let workers = workers.min(indices.len());
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: std::sync::Mutex<Vec<Option<(u64, Option<Vec<u8>>)>>> = std::sync::Mutex::new(
+    let slots: std::sync::Mutex<Vec<Option<IndexedValue>>> = std::sync::Mutex::new(
         std::iter::repeat_with(|| None).take(indices.len()).collect(),
     );
     std::thread::scope(|scope| {

@@ -99,7 +99,7 @@ impl ShardMap {
         assert!(shard < self.shards, "shard id out of range");
         let k = u128::from(self.shards);
         let n = u128::from(self.n_objects);
-        let ceil = |a: u128| -> u64 { ((a + k - 1) / k) as u64 };
+        let ceil = |a: u128| -> u64 { a.div_ceil(k) as u64 };
         ceil(u128::from(shard) * n)..ceil(u128::from(shard + 1) * n)
     }
 

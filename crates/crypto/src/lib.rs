@@ -13,8 +13,6 @@
 //!   authentication.
 //! - [`keys`]: per-node key material, pairwise session-key derivation, and
 //!   the key-refresh used by proactive recovery.
-//! - [`fec`]: systematic Reed–Solomon erasure coding over GF(2⁸), the
-//!   fragment codec behind coded checkpoint state transfer.
 //! - [`sig`]: transferable signatures for view-change and checkpoint
 //!   certificates. These are *simulated*: signing is HMAC under the
 //!   signer's private key, and verification goes through a
@@ -32,7 +30,6 @@
 
 pub mod auth;
 pub mod digest;
-pub mod fec;
 pub mod hmac;
 pub mod keys;
 pub mod sha256;

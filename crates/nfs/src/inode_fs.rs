@@ -736,7 +736,7 @@ mod tests {
 
     #[test]
     fn stale_handle_rejected() {
-        let (mut fs, _) = fs();
+        let (fs, _) = fs();
         assert_eq!(fs.getattr(&vec![0; 12]), Err(SrvError::Stale));
         assert_eq!(fs.getattr(&vec![1, 2, 3]), Err(SrvError::Stale));
     }

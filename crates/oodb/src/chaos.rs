@@ -364,7 +364,7 @@ impl ChaosHarness for OodbChaosHarness {
             .filter_map(|&r| sim.actor_as::<Replica>(r).map(|a| a.stable_seq()))
             .max()
             .unwrap_or(0);
-        let mut snapshots: Vec<(NodeId, u64, Vec<Option<Vec<u8>>>)> = Vec::new();
+        let mut snapshots = Vec::new();
         for &r in &clean {
             let replica = sim.actor_as_mut::<Replica>(r).expect("replica");
             if replica.stable_seq() != max_stable {
@@ -372,7 +372,8 @@ impl ChaosHarness for OodbChaosHarness {
             }
             let wrapper = replica.service_mut().wrapper_mut();
             let allocated = wrapper.allocated();
-            let objs = (0..u64::from(OBJS)).map(|i| wrapper.get_obj(i)).collect();
+            let objs: Vec<Option<Vec<u8>>> =
+                (0..u64::from(OBJS)).map(|i| wrapper.get_obj(i)).collect();
             snapshots.push((r, allocated, objs));
         }
         let Some((first, allocated, reference)) = snapshots.first() else {

@@ -68,9 +68,6 @@ pub struct CounterChaosHarness {
     /// a reply timeout) on every client, so tests can demonstrate the
     /// heal-to-progress auditor catching a stalled operation.
     pub inject_stall_bug: bool,
-    /// Whether the group runs with adaptive (RTT-driven) timeouts; turning
-    /// this off pins the static timeout/backoff paths for A/B comparisons.
-    pub adaptive: bool,
     /// Gap between a client's submissions, so the workload stretches
     /// across the fault schedule instead of finishing before the first
     /// event fires.
@@ -87,9 +84,6 @@ pub struct CounterChaosHarness {
     pub pipeline_depth: u64,
     /// Execution worker count ([`Config::exec_workers`]).
     pub exec_workers: usize,
-    /// Whether state transfer fetches erasure-coded fragments
-    /// ([`Config::coded_transfer`]).
-    pub coded_transfer: bool,
     /// Chunk size for chunked Merkle leaf digests ([`Config::chunk_size`]).
     pub chunk_size: usize,
     // Per-run state, reset by `build`.
@@ -109,13 +103,11 @@ impl CounterChaosHarness {
             ops_per_client: 13,
             inject_client_bug: false,
             inject_stall_bug: false,
-            adaptive: true,
             pace: SimDuration::from_millis(250),
             settle: SimDuration::from_secs(30),
             latency_budget: None,
             pipeline_depth: 16,
             exec_workers: 1,
-            coded_transfer: false,
             chunk_size: 0,
             group: None,
             expected: HashMap::new(),
@@ -132,10 +124,8 @@ impl CounterChaosHarness {
         cfg.checkpoint_interval = 4;
         cfg.log_window = 32;
         cfg.reboot_time = SimDuration::from_millis(100);
-        cfg.adaptive_timeouts = self.adaptive;
         cfg.pipeline_depth = self.pipeline_depth;
         cfg.exec_workers = self.exec_workers;
-        cfg.coded_transfer = self.coded_transfer;
         cfg.chunk_size = self.chunk_size;
         cfg
     }

@@ -85,7 +85,7 @@ pub struct ClientCore {
     /// degradations).
     pub metrics: MetricsRegistry,
     /// Adaptive retransmission timeout, fed by completed-operation
-    /// latencies. Only consulted when `cfg.adaptive_timeouts` is set.
+    /// latencies.
     rtt: RttEstimator,
     /// Persistent RTO backoff exponent (RFC 6298 §5.5-5.7): Karn's
     /// algorithm discards retransmitted samples, so when *every* exchange
@@ -191,15 +191,11 @@ impl ClientCore {
             );
         }
         ctx.emit(self.view_guess, ts, ProtocolEvent::ClientOpSubmitted);
-        let timeout = if self.cfg.adaptive_timeouts {
-            // Jacobson/Karels RTO (equal to `client_timeout` until the
-            // first clean completion seeds the estimator), doubled once
-            // per unresolved timeout so a chronically underestimated RTO
-            // still adapts upward despite Karn discarding its samples.
-            SimDuration::from_nanos(self.rtt.backoff(self.rto_shift))
-        } else {
-            self.cfg.client_timeout
-        };
+        // Jacobson/Karels RTO (equal to `client_timeout` until the first
+        // clean completion seeds the estimator), doubled once per
+        // unresolved timeout so a chronically underestimated RTO still
+        // adapts upward despite Karn discarding its samples.
+        let timeout = SimDuration::from_nanos(self.rtt.backoff(self.rto_shift));
         let timer = ctx.set_timer(timeout, self.retrans_token);
         self.pending = Some(Pending {
             ts,
@@ -382,19 +378,10 @@ impl ClientCore {
         // backoff of extra delay, so the retry storms of many clients
         // recovering from one partition do not synchronize.
         let attempts = self.pending.as_ref().map(|p| p.attempts).unwrap_or(1);
-        let delay = if self.cfg.adaptive_timeouts {
-            self.rto_shift = (self.rto_shift + 1).min(6);
-            // RTO-based backoff with seeded jitter: deterministic, and no
-            // simulator RNG is consumed on the retry path.
-            SimDuration::from_nanos(self.rtt.jittered_backoff(attempts, ts))
-        } else {
-            let backoff = self.cfg.client_timeout.saturating_mul(1 << attempts.min(6));
-            let jitter = SimDuration::from_nanos(rand::Rng::gen_range(
-                ctx.rng(),
-                0..=backoff.as_nanos() / 4,
-            ));
-            backoff + jitter
-        };
+        self.rto_shift = (self.rto_shift + 1).min(6);
+        // RTO-based backoff with seeded jitter: deterministic, and no
+        // simulator RNG is consumed on the retry path.
+        let delay = SimDuration::from_nanos(self.rtt.jittered_backoff(attempts, ts));
         let timer = ctx.set_timer(delay, self.retrans_token);
         if let Some(p) = self.pending.as_mut() {
             p.timer = Some(timer);

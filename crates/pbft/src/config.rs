@@ -21,22 +21,16 @@ pub struct Config {
     pub max_inflight: u64,
     /// Base view-change timeout; doubles for each consecutive failed view
     /// (clamped to [`view_change_timeout_cap`](Self::view_change_timeout_cap)).
-    /// With [`adaptive_timeouts`](Self::adaptive_timeouts) the base is
-    /// re-seeded from observed agreement latency once samples exist.
+    /// The base is re-seeded from observed agreement latency once samples
+    /// exist.
     pub view_change_timeout: SimDuration,
     /// Ceiling for the doubling view-change timeout: however many
     /// consecutive views fail, the timer never exceeds this.
     pub view_change_timeout_cap: SimDuration,
-    /// Client retransmission timeout. With adaptive timeouts this is only
-    /// the pre-sample initial RTO; afterwards the Jacobson/Karels estimator
-    /// drives the timer.
+    /// Client retransmission timeout before the first round-trip sample;
+    /// afterwards the Jacobson/Karels estimator
+    /// (`base_simnet::RttEstimator`) drives the timer.
     pub client_timeout: SimDuration,
-    /// When true (the default), retry timers derive from observed
-    /// round-trip latency (`base_simnet::RttEstimator`) and the
-    /// state-transfer fetch window adapts to reply latency and
-    /// retransmission rate. When false, every timer is the static
-    /// configured constant — the pre-adaptive behaviour, kept for A/B runs.
-    pub adaptive_timeouts: bool,
     /// Lower clamp for adaptive retransmission timeouts.
     pub rto_floor: SimDuration,
     /// Upper clamp for adaptive retransmission timeouts (and their
@@ -52,10 +46,10 @@ pub struct Config {
     /// Tolerance when backups validate the primary's proposed timestamp
     /// non-determinism.
     pub nondet_skew_tolerance: SimDuration,
-    /// State-transfer pipelining: maximum concurrently outstanding
-    /// meta/object fetch queries (1 = strictly serial tree walk). With
-    /// adaptive timeouts this is the *initial* window; it grows on timely
-    /// verified replies and halves on retransmission.
+    /// State-transfer pipelining: the *initial* number of concurrently
+    /// outstanding meta/object fetch queries (1 = a strictly serial tree
+    /// walk to start with). The window grows on timely verified replies
+    /// and halves on retransmission.
     pub fetch_window: usize,
     /// Upper bound for the adaptive fetch window.
     pub fetch_window_max: usize,
@@ -75,20 +69,14 @@ pub struct Config {
     /// charges, so results and timing are byte-identical at any worker
     /// count.
     pub exec_workers: usize,
-    /// Erasure-coded state transfer: when true, a recovering replica
-    /// fetches checkpoint data as systematic Reed–Solomon fragments
-    /// (`k = f + 1` data + `m = f` parity) spread across `f + 1` distinct
-    /// sources in parallel, instead of whole objects from one source at a
-    /// time. Parity fragments are fetched only when a data fragment is
-    /// missing or corrupt. Off by default — the legacy whole-object path.
-    pub coded_transfer: bool,
     /// Leaf-digest chunk size in bytes
     /// ([`Service::set_chunk_size`](crate::Service::set_chunk_size)).
-    /// `0` (the default) keeps legacy whole-object leaf digests. Non-zero
-    /// switches every leaf digest to the chunked fold, so small writes to
-    /// big objects re-hash only touched chunks and coded transfer can both
-    /// verify and skip chunks the fetcher already holds. Consensus-critical:
-    /// all replicas must configure the same value.
+    /// `0` (the default) keeps legacy whole-object leaf digests and
+    /// whole-object state transfer. Non-zero switches every leaf digest to
+    /// the chunked fold, so small writes to big objects re-hash only touched
+    /// chunks, and state transfer fetches only the chunks the fetcher does
+    /// not already hold, each verified against its chunk digest.
+    /// Consensus-critical: all replicas must configure the same value.
     pub chunk_size: usize,
     /// Shard (replica-group) identity. `0` — the default — is the classic
     /// single-group deployment and keeps every message byte-identical to
@@ -126,7 +114,6 @@ impl Config {
             view_change_timeout: SimDuration::from_millis(500),
             view_change_timeout_cap: SimDuration::from_secs(8),
             client_timeout: SimDuration::from_millis(300),
-            adaptive_timeouts: true,
             rto_floor: SimDuration::from_millis(150),
             rto_ceiling: SimDuration::from_secs(4),
             tick_interval: SimDuration::from_millis(100),
@@ -137,7 +124,6 @@ impl Config {
             fetch_window_max: 16,
             pipeline_depth: 16,
             exec_workers: 1,
-            coded_transfer: false,
             chunk_size: 0,
             shard: 0,
             node_base: 0,

@@ -785,10 +785,10 @@ impl XdrDecode for ObjectReplyMsg {
     }
 }
 
-/// Coded state transfer: request for the chunk-digest list of one object
+/// Chunked state transfer: request for the chunk-digest list of one object
 /// in a checkpoint. The reply verifies against the object's (chunked) leaf
-/// digest, after which individual chunks can be fetched as erasure-coded
-/// fragments and verified one by one.
+/// digest, after which individual chunks can be fetched and verified one
+/// by one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FetchChunksMsg {
     /// Checkpoint sequence number.
@@ -852,90 +852,73 @@ impl XdrDecode for ChunksReplyMsg {
     }
 }
 
-/// Coded state transfer: request for one Reed–Solomon fragment of a chunk
-/// (or of a whole object when `chunk` is [`CHUNK_WHOLE`](crate::transfer::CHUNK_WHOLE)).
-/// Fragment ids `0..k` are systematic data fragments; `k..k+m` are parity.
-/// `k = f + 1` and `m = f` are derived from the group configuration, not
-/// carried on the wire.
+/// Chunked state transfer: request for one chunk of an object in a
+/// checkpoint. The requester learned the chunk's digest from a verified
+/// [`ChunksReplyMsg`], so the reply needs no authentication.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FetchFragMsg {
+pub struct FetchChunkMsg {
     /// Checkpoint sequence number.
     pub seq: u64,
     /// Object (leaf) index.
     pub index: u64,
-    /// Chunk number within the object, or `u32::MAX` for the whole object.
+    /// Chunk number within the object.
     pub chunk: u32,
-    /// Fragment id (`0..k` data, `k..k+m` parity).
-    pub frag: u32,
     /// Requesting replica.
     pub replica: u32,
 }
 
-impl XdrEncode for FetchFragMsg {
+impl XdrEncode for FetchChunkMsg {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_u64(self.seq);
         enc.put_u64(self.index);
         enc.put_u32(self.chunk);
-        enc.put_u32(self.frag);
         enc.put_u32(self.replica);
     }
 }
 
-impl XdrDecode for FetchFragMsg {
+impl XdrDecode for FetchChunkMsg {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         Ok(Self {
             seq: dec.get_u64()?,
             index: dec.get_u64()?,
             chunk: dec.get_u32()?,
-            frag: dec.get_u32()?,
             replica: dec.get_u32()?,
         })
     }
 }
 
-/// Reply to [`FetchFragMsg`]: one fragment of the (chunk's) bytes. `len` is
-/// the *unfragmented* length, which fixes the fragment geometry; it is
-/// validated against the verified chunk list (chunked mode) or treated as a
-/// candidate to be confirmed by digest check after reassembly (whole-object
-/// mode).
+/// Reply to [`FetchChunkMsg`]: the chunk's bytes, verified against the
+/// chunk digest from the object's verified chunk list.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FragReplyMsg {
+pub struct ChunkReplyMsg {
     /// Checkpoint sequence number.
     pub seq: u64,
     /// Object (leaf) index.
     pub index: u64,
-    /// Chunk number within the object, or `u32::MAX` for the whole object.
+    /// Chunk number within the object.
     pub chunk: u32,
-    /// Fragment id.
-    pub frag: u32,
-    /// Length in bytes of the unfragmented chunk/object.
-    pub len: u64,
-    /// Fragment bytes (`fragment_len(len, k)` of them).
+    /// Chunk bytes.
     pub data: Vec<u8>,
     /// Replying replica.
     pub replica: u32,
 }
 
-impl XdrEncode for FragReplyMsg {
+impl XdrEncode for ChunkReplyMsg {
     fn encode(&self, enc: &mut XdrEncoder) {
         enc.put_u64(self.seq);
         enc.put_u64(self.index);
         enc.put_u32(self.chunk);
-        enc.put_u32(self.frag);
-        enc.put_u64(self.len);
         enc.put_opaque(&self.data);
         enc.put_u32(self.replica);
     }
 }
 
-impl XdrDecode for FragReplyMsg {
+impl XdrDecode for ChunkReplyMsg {
     fn decode(dec: &mut XdrDecoder<'_>) -> Result<Self, XdrError> {
         Ok(Self {
             seq: dec.get_u64()?,
             index: dec.get_u64()?,
             chunk: dec.get_u32()?,
-            frag: dec.get_u32()?,
-            len: dec.get_u64()?,
             data: dec.get_opaque()?,
             replica: dec.get_u32()?,
         })
@@ -1054,14 +1037,14 @@ pub enum Message {
     CertReply(CertReplyMsg),
     /// Periodic status report.
     Status(StatusMsg),
-    /// Coded state transfer: fetch an object's chunk-digest list.
+    /// Chunked state transfer: fetch an object's chunk-digest list.
     FetchChunks(FetchChunksMsg),
-    /// Coded state transfer: chunk-digest list reply.
+    /// Chunked state transfer: chunk-digest list reply.
     ChunksReply(ChunksReplyMsg),
-    /// Coded state transfer: fetch one erasure-coded fragment.
-    FetchFrag(FetchFragMsg),
-    /// Coded state transfer: fragment reply.
-    FragReply(FragReplyMsg),
+    /// Chunked state transfer: fetch one chunk.
+    FetchChunk(FetchChunkMsg),
+    /// Chunked state transfer: chunk reply.
+    ChunkReply(ChunkReplyMsg),
 }
 
 /// Envelope discriminant for shard-tagged messages. Chosen just past the
@@ -1136,8 +1119,8 @@ impl Message {
             Message::Status(_) => "status",
             Message::FetchChunks(_) => "fetch-chunks",
             Message::ChunksReply(_) => "chunks-reply",
-            Message::FetchFrag(_) => "fetch-frag",
-            Message::FragReply(_) => "frag-reply",
+            Message::FetchChunk(_) => "fetch-chunk",
+            Message::ChunkReply(_) => "chunk-reply",
         }
     }
 }
@@ -1213,11 +1196,11 @@ impl XdrEncode for Message {
                 enc.put_u32(16);
                 m.encode(enc);
             }
-            Message::FetchFrag(m) => {
+            Message::FetchChunk(m) => {
                 enc.put_u32(17);
                 m.encode(enc);
             }
-            Message::FragReply(m) => {
+            Message::ChunkReply(m) => {
                 enc.put_u32(18);
                 m.encode(enc);
             }
@@ -1246,8 +1229,8 @@ impl XdrDecode for Message {
             14 => Message::Status(StatusMsg::decode(dec)?),
             15 => Message::FetchChunks(FetchChunksMsg::decode(dec)?),
             16 => Message::ChunksReply(ChunksReplyMsg::decode(dec)?),
-            17 => Message::FetchFrag(FetchFragMsg::decode(dec)?),
-            18 => Message::FragReply(FragReplyMsg::decode(dec)?),
+            17 => Message::FetchChunk(FetchChunkMsg::decode(dec)?),
+            18 => Message::ChunkReply(ChunkReplyMsg::decode(dec)?),
             v => {
                 return Err(XdrError::InvalidDiscriminant { type_name: "Message", value: v })
             }
@@ -1416,13 +1399,11 @@ mod tests {
                 digests: vec![Digest::of(b"c0"), Digest::of(b"c1")],
                 replica: 1,
             }),
-            Message::FetchFrag(FetchFragMsg { seq: 128, index: 7, chunk: 1, frag: 2, replica: 1 }),
-            Message::FragReply(FragReplyMsg {
+            Message::FetchChunk(FetchChunkMsg { seq: 128, index: 7, chunk: 1, replica: 1 }),
+            Message::ChunkReply(ChunkReplyMsg {
                 seq: 128,
                 index: 7,
-                chunk: u32::MAX,
-                frag: 0,
-                len: 300,
+                chunk: 1,
                 data: vec![5; 100],
                 replica: 1,
             }),

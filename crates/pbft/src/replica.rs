@@ -11,16 +11,14 @@ use crate::config::Config;
 use crate::cost::CostModel;
 use crate::log::{CheckpointCollector, Log, ReplyCache, SlotStage, SlotTable};
 use crate::messages::{
-    CertReplyMsg, CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg,
-    FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg, Message, MetaReplyMsg, NewViewMsg,
-    ObjectReplyMsg, PrePrepareMsg, PreparedProof, PrepareMsg, ReplyMsg, RequestMsg, StatusMsg,
-    ViewChangeMsg,
+    CertReplyMsg, CheckpointMsg, ChunkReplyMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg,
+    FetchChunkMsg, FetchChunksMsg, FetchMetaMsg, FetchObjectMsg, Message, MetaReplyMsg,
+    NewViewMsg, ObjectReplyMsg, PrePrepareMsg, PreparedProof, PrepareMsg, ReplyMsg, RequestMsg,
+    StatusMsg, ViewChangeMsg,
 };
 use crate::service::{ExecEnv, Service};
-use crate::transfer::{
-    checkpoint_digest, FetchResult, Fetcher, CHUNK_WHOLE, META_ROOT_LEVEL, REPLIES_INDEX,
-};
-use base_crypto::{fec, Authenticator, Digest, NodeKeys};
+use crate::transfer::{checkpoint_digest, FetchResult, Fetcher, META_ROOT_LEVEL, REPLIES_INDEX};
+use base_crypto::{Authenticator, Digest, NodeKeys};
 use base_simnet::{
     Actor, Context, MetricsRegistry, NodeId, Payload, ProtocolEvent, RttEstimator, SimDuration,
     TimerId,
@@ -118,9 +116,9 @@ pub struct Replica<S: Service> {
     vc_timer: Option<TimerId>,
     vc_timeout: SimDuration,
     /// Observed pre-prepare-to-execution latency (the three-phase
-    /// agreement round); re-seeds the view-change base timeout when
-    /// adaptive timeouts are on, so a fast group chases a silent primary
-    /// sooner and a slow one stops churning views it cannot finish.
+    /// agreement round); re-seeds the view-change base timeout, so a fast
+    /// group chases a silent primary sooner and a slow one stops churning
+    /// views it cannot finish.
     agree_rtt: RttEstimator,
     /// When the current state-transfer fetch began (`transfer.fetch_ns`).
     fetch_started_at_ns: u64,
@@ -226,12 +224,13 @@ impl<S: Service> Replica<S> {
         self.vc_timeout
     }
 
-    /// Base view-change timeout for a freshly installed view: the static
-    /// configured value, or — once adaptive and seeded — the RTO of the
-    /// observed agreement latency, so a fast group chases a silent primary
-    /// sooner and a slow one stops churning views it cannot finish.
+    /// Base view-change timeout for a freshly installed view: the
+    /// configured value until agreement latency has been sampled, then the
+    /// RTO of the observed agreement latency, so a fast group chases a
+    /// silent primary sooner and a slow one stops churning views it cannot
+    /// finish.
     fn base_vc_timeout(&self) -> SimDuration {
-        if self.cfg.adaptive_timeouts && self.agree_rtt.samples() > 0 {
+        if self.agree_rtt.samples() > 0 {
             SimDuration::from_nanos(self.agree_rtt.rto())
         } else {
             self.cfg.view_change_timeout
@@ -1051,25 +1050,15 @@ impl<S: Service> Replica<S> {
             let charged = env.charged();
             ctx.charge(charged);
         }
-        let mut fetcher = if self.cfg.adaptive_timeouts {
-            Fetcher::adaptive(
-                self.id,
-                self.cfg.n,
-                seq,
-                digest,
-                self.cfg.fetch_window,
-                self.cfg.fetch_window_max,
-            )
-        } else {
-            Fetcher::with_window(self.id, self.cfg.n, seq, digest, self.cfg.fetch_window)
-        };
-        if self.cfg.coded_transfer {
-            // Systematic Reed–Solomon over k = f+1 data + m = f parity
-            // fragments: any f+1 of the 2f+1 correct sources suffice, and
-            // the parity budget absorbs up to f corrupt fragments.
-            let f = self.cfg.f();
-            fetcher.enable_coded(f + 1, f, self.cfg.chunk_size);
-        }
+        let mut fetcher = Fetcher::with_window(
+            self.id,
+            self.cfg.n,
+            seq,
+            digest,
+            self.cfg.fetch_window,
+            self.cfg.fetch_window_max,
+        )
+        .chunked(self.cfg.chunk_size);
         for (to, msg) in fetcher.begin() {
             self.send(ctx, self.cfg.replica_node(to as usize), &msg);
         }
@@ -1096,9 +1085,8 @@ impl<S: Service> Replica<S> {
         self.metrics.add("transfer.corrupt_replies", result.corrupt_replies);
         self.metrics.add("transfer.retransmissions", result.retransmissions);
         self.metrics.observe("transfer.peak_window", result.peak_window as u64);
-        if self.cfg.coded_transfer {
+        if self.cfg.chunk_size > 0 {
             self.metrics.add("transfer.chunk_queries", result.chunk_queries);
-            self.metrics.add("transfer.frag_queries", result.frag_queries);
             self.metrics.add("transfer.chunks_reused", result.chunks_reused);
         }
         // Wall-clock from fetch start to installation: the transfer's
@@ -1278,40 +1266,22 @@ impl<S: Service> Replica<S> {
         self.send(ctx, self.cfg.replica_node(m.replica as usize), &Message::ChunksReply(reply));
     }
 
-    fn handle_fetch_frag(&mut self, m: FetchFragMsg, ctx: &mut Context<'_>) {
-        let f = self.cfg.f();
-        let (k, pm) = (f + 1, f);
-        if m.replica as usize >= self.cfg.n || (m.frag as usize) >= k + pm {
+    fn handle_fetch_chunk(&mut self, m: FetchChunkMsg, ctx: &mut Context<'_>) {
+        let cs = self.cfg.chunk_size;
+        if m.replica as usize >= self.cfg.n || cs == 0 {
             return;
         }
         let Some(data) = self.service.checkpoint_object(m.seq, m.index) else { return };
-        let bytes: &[u8] = if m.chunk == CHUNK_WHOLE {
-            &data
-        } else {
-            let cs = self.cfg.chunk_size;
-            let start = m.chunk as usize * cs;
-            let end = ((m.chunk as usize + 1) * cs).min(data.len());
-            if cs == 0 || start >= end {
-                return;
-            }
-            &data[start..end]
-        };
-        // Serving one fragment streams 1/k of the bytes; parity fragments
-        // additionally pay one pass of GF(2^8) arithmetic, charged as a
-        // digest pass over the source bytes.
-        let frag = fec::fragment(bytes, k, pm, m.frag as usize);
-        let charged = if (m.frag as usize) < k { frag.len() } else { bytes.len() };
-        ctx.charge(self.cost.digest(charged));
-        let reply = FragReplyMsg {
+        let Some(bytes) = data.chunks(cs).nth(m.chunk as usize) else { return };
+        ctx.charge(self.cost.digest(bytes.len()));
+        let reply = ChunkReplyMsg {
             seq: m.seq,
             index: m.index,
             chunk: m.chunk,
-            frag: m.frag,
-            len: bytes.len() as u64,
-            data: frag,
+            data: bytes.to_vec(),
             replica: self.id,
         };
-        self.send(ctx, self.cfg.replica_node(m.replica as usize), &Message::FragReply(reply));
+        self.send(ctx, self.cfg.replica_node(m.replica as usize), &Message::ChunkReply(reply));
     }
 
     fn handle_chunks_reply(&mut self, m: ChunksReplyMsg, ctx: &mut Context<'_>) {
@@ -1340,10 +1310,10 @@ impl<S: Service> Replica<S> {
         }
     }
 
-    fn handle_frag_reply(&mut self, m: FragReplyMsg, ctx: &mut Context<'_>) {
+    fn handle_chunk_reply(&mut self, m: ChunkReplyMsg, ctx: &mut Context<'_>) {
         ctx.charge(self.cost.digest(m.data.len()));
         let (out, done) = match &mut self.fetcher {
-            Some(f) => f.on_frag_reply(&m),
+            Some(f) => f.on_chunk_reply(&m),
             None => return,
         };
         ctx.emit(
@@ -2038,8 +2008,8 @@ impl<S: Service> Actor for Replica<S> {
             Message::ObjectReply(m) => self.handle_object_reply(m, ctx),
             Message::FetchChunks(m) => self.handle_fetch_chunks(m, ctx),
             Message::ChunksReply(m) => self.handle_chunks_reply(m, ctx),
-            Message::FetchFrag(m) => self.handle_fetch_frag(m, ctx),
-            Message::FragReply(m) => self.handle_frag_reply(m, ctx),
+            Message::FetchChunk(m) => self.handle_fetch_chunk(m, ctx),
+            Message::ChunkReply(m) => self.handle_chunk_reply(m, ctx),
             Message::FetchCert(m) => self.handle_fetch_cert(m, ctx),
             Message::CertReply(m) => self.handle_cert_reply(m, ctx),
             Message::Status(m) => self.handle_status(m, ctx),

@@ -92,7 +92,7 @@ pub trait Service: 'static {
     /// digest scheme. `0` = legacy whole-object leaf digests. When
     /// non-zero, every present object's leaf digest must be the chunked
     /// fold (`tree::chunked_leaf_digest`), so per-chunk digest lists served
-    /// during coded state transfer verify against the partition tree. All
+    /// during chunked state transfer verify against the partition tree. All
     /// replicas must agree on the value — it changes every leaf digest and
     /// hence the checkpoint roots. The default ignores the hint (services
     /// that keep whole-object digests only).

@@ -14,26 +14,32 @@
 //! essential for state transfer.
 //!
 //! Queries are spread round-robin over the other replicas and pipelined:
-//! up to a configurable window of meta/object queries is outstanding at a
-//! time ([`DEFAULT_FETCH_WINDOW`]), with further discovered queries parked
-//! in FIFO order until a slot frees up. A query whose reply fails digest
-//! verification is re-targeted to the next source immediately; unanswered
-//! queries are retransmitted with per-query exponential backoff and
+//! up to a window of meta/object queries is outstanding at a time, with
+//! further discovered queries parked in FIFO order until a slot frees up.
+//! The window adapts (AIMD) between 1 and a configured maximum. A query
+//! whose reply fails digest verification is re-targeted to the next source
+//! immediately; unanswered queries are retransmitted with per-query
+//! exponential backoff, scaled from the observed reply latency, plus
 //! deterministic jitter, so a slow or silent source delays only its own
 //! partitions and retries do not synchronize into bursts.
+//!
+//! With chunked leaf digests ([`Fetcher::chunked`]) an out-of-date object
+//! is fetched as its verified chunk-digest list first; chunks whose local
+//! bytes already match are reused, and each missing chunk is fetched whole
+//! from one source and checked against its certified chunk digest.
 //!
 //! The checkpoint identity covers both the service state and the client
 //! reply cache (which PBFT replicates as part of the state):
 //! `D = H("ckpt" || service_root || H(replies_blob))`.
 
 use crate::messages::{
-    ChunksReplyMsg, FetchChunksMsg, FetchFragMsg, FetchMetaMsg, FetchObjectMsg, FragReplyMsg,
+    ChunkReplyMsg, ChunksReplyMsg, FetchChunkMsg, FetchChunksMsg, FetchMetaMsg, FetchObjectMsg,
     Message, MetaReplyMsg, ObjectReplyMsg,
 };
 use crate::tree::PartitionTree;
-use base_crypto::{fec, Digest};
+use base_crypto::Digest;
 use base_simnet::RttEstimator;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Default window of concurrently outstanding fetch queries.
 ///
@@ -52,10 +58,6 @@ pub const META_ROOT_LEVEL: u32 = u32::MAX;
 
 /// Pseudo-object index used to fetch the serialized reply cache.
 pub const REPLIES_INDEX: u64 = u64::MAX;
-
-/// Chunk number in fragment messages meaning "the whole object" — coded
-/// transfer without chunked leaf digests fragments entire objects.
-pub const CHUNK_WHOLE: u32 = u32::MAX;
 
 /// Composite checkpoint digest over service state and reply cache.
 pub fn checkpoint_digest(service_root: &Digest, replies_digest: &Digest) -> Digest {
@@ -82,15 +84,12 @@ pub struct FetchResult {
     pub corrupt_replies: u64,
     /// Queries retransmitted (timeouts plus corrupt replies).
     pub retransmissions: u64,
-    /// Largest pipelining window the fetch reached (equals the configured
-    /// window for non-adaptive fetchers).
+    /// Largest pipelining window the fetch reached.
     pub peak_window: usize,
-    /// Coded transfer: chunk-digest-list queries issued.
+    /// Chunked transfer: chunk-digest-list queries issued.
     pub chunk_queries: u64,
-    /// Coded transfer: fragment queries issued.
-    pub frag_queries: u64,
-    /// Coded transfer: chunks satisfied from the local value (matched the
-    /// remote checkpoint's verified chunk digest, so no bytes moved).
+    /// Chunked transfer: chunks satisfied from the local value (matched
+    /// the remote checkpoint's verified chunk digest, so no bytes moved).
     pub chunks_reused: u64,
 }
 
@@ -100,11 +99,10 @@ enum FetchKey {
     Replies,
     Meta { level: u32, index: u64 },
     Object { index: u64 },
-    /// Coded transfer: an object's chunk-digest list.
+    /// Chunked transfer: an object's chunk-digest list.
     Chunks { index: u64 },
-    /// Coded transfer: one erasure-coded fragment of a chunk (or of the
-    /// whole object when `chunk == CHUNK_WHOLE`).
-    Frag { index: u64, chunk: u32, frag: u32 },
+    /// Chunked transfer: one chunk of an object.
+    Chunk { index: u64, chunk: u32 },
 }
 
 #[derive(Debug)]
@@ -122,56 +120,28 @@ struct Outstanding {
 /// Retransmission backoff cap, in ticks.
 const MAX_BACKOFF_TICKS: u64 = 32;
 
-/// Erasure-coding parameters for a coded fetch.
-#[derive(Debug, Clone, Copy)]
-struct CodedCfg {
-    /// Data fragments needed to reconstruct (`f + 1`).
-    k: usize,
-    /// Parity fragments available beyond the data ones (`f`).
-    m: usize,
-    /// Leaf-digest chunk size; `0` fragments whole objects.
-    chunk_size: usize,
-}
-
-/// Reassembly state for one coded unit — a chunk, or a whole object when
-/// `chunk == CHUNK_WHOLE`.
-#[derive(Debug)]
-struct CodedUnit {
-    /// Digest the reassembled bytes must hash to (chunk digest, or leaf
-    /// digest for whole-object units).
-    expected: Digest,
-    /// Unfragmented length when known a priori (chunked mode learns it
-    /// from the verified chunk list); whole-object units learn candidate
-    /// lengths from fragment replies.
-    len: Option<u64>,
-    /// Distinct candidate lengths claimed by fragment replies (whole-object
-    /// units only; the digest check arbitrates).
-    lens_seen: Vec<u64>,
-    /// Verified-length fragments received so far, by fragment id.
-    frags: BTreeMap<u32, Vec<u8>>,
-    /// Fragment queries issued for this unit (k, then k+m once escalated).
-    issued: u32,
-    /// Parity fragments have been requested (a data fragment arrived
-    /// corrupt, or lengths disagree).
-    escalated: bool,
-}
-
-impl CodedUnit {
-    fn new(expected: Digest, len: Option<u64>) -> Self {
-        Self { expected, len, lens_seen: Vec::new(), frags: BTreeMap::new(), issued: 0, escalated: false }
-    }
-}
-
-/// Per-object assembly state for chunked coded fetches: the verified chunk
-/// list plus reused or reconstructed chunk bytes.
+/// Per-object assembly state for chunked fetches: the verified chunk list
+/// plus reused or fetched chunk bytes.
 #[derive(Debug)]
 struct ChunkedObject {
     /// Object length from the verified chunk list.
     len: u64,
     /// Chunks still missing.
     remaining: usize,
-    /// Chunk bytes, filled in as they are reused or reconstructed.
+    /// Chunk bytes, filled in as they are reused or fetched.
     chunks: Vec<Option<Vec<u8>>>,
+}
+
+impl ChunkedObject {
+    /// Concatenates the chunks; called once none is missing.
+    fn assemble(self) -> Vec<u8> {
+        let mut value = Vec::with_capacity(self.len as usize);
+        for ch in self.chunks.into_iter().flatten() {
+            value.extend_from_slice(&ch);
+        }
+        debug_assert_eq!(value.len() as u64, self.len);
+        value
+    }
 }
 
 /// State machine driving one state transfer.
@@ -188,17 +158,15 @@ pub struct Fetcher {
     /// Discovered queries parked until a window slot frees up (FIFO, so
     /// the walk order matches discovery order at any window size).
     pending: VecDeque<(FetchKey, Digest)>,
-    /// Maximum number of concurrently outstanding queries.
+    /// Maximum number of concurrently outstanding queries. AIMD: grows by
+    /// one on each timely verified reply, halves on retransmission.
     window: usize,
-    /// AIMD adaptation: grow the window on timely verified replies, halve
-    /// it on retransmission. Off for the pinned-window constructors.
-    adaptive: bool,
-    /// Upper bound for adaptive window growth.
+    /// Upper bound for window growth.
     window_max: usize,
     /// Largest window reached over the fetch's lifetime.
     peak_window: usize,
-    /// Reply latency in ticks; its RTO is the adaptive retry backoff base
-    /// and the timeliness threshold for window growth.
+    /// Reply latency in ticks; its RTO is the retry backoff base and the
+    /// timeliness threshold for window growth.
     rtt: RttEstimator,
     /// Objects collected so far.
     objects: Vec<(u64, Option<Vec<u8>>)>,
@@ -212,14 +180,11 @@ pub struct Fetcher {
     retransmissions: u64,
     fetched_bytes: u64,
     meta_queries: u64,
-    /// Erasure-coded fetch mode; `None` = legacy whole-object fetches.
-    coded: Option<CodedCfg>,
-    /// In-flight coded units, keyed by `(object index, chunk)`.
-    units: HashMap<(u64, u32), CodedUnit>,
+    /// Leaf-digest chunk size; `0` fetches whole objects.
+    chunk_size: usize,
     /// In-flight chunked objects, keyed by object index.
     chunked: HashMap<u64, ChunkedObject>,
     chunk_queries: u64,
-    frag_queries: u64,
     chunks_reused: u64,
     done: bool,
 }
@@ -227,14 +192,25 @@ pub struct Fetcher {
 impl Fetcher {
     /// Creates a fetcher targeting checkpoint (`seq`, `target`), where
     /// `target` is the composite digest proven by a checkpoint certificate.
-    /// Uses the default pipelining window ([`DEFAULT_FETCH_WINDOW`]).
+    /// The window is pinned at [`DEFAULT_FETCH_WINDOW`].
     pub fn new(me: u32, n: usize, seq: u64, target: Digest) -> Self {
-        Self::with_window(me, n, seq, target, DEFAULT_FETCH_WINDOW)
+        Self::with_window(me, n, seq, target, DEFAULT_FETCH_WINDOW, DEFAULT_FETCH_WINDOW)
     }
 
-    /// Creates a fetcher with an explicit pipelining window (clamped to a
-    /// minimum of 1). `window = 1` walks the tree strictly serially.
-    pub fn with_window(me: u32, n: usize, seq: u64, target: Digest, window: usize) -> Self {
+    /// Creates a fetcher whose window starts at `window` and adapts
+    /// between 1 and `window_max` — additive increase on timely verified
+    /// replies, halving on retransmission. `window == window_max` pins the
+    /// window absent loss; `window = 1` starts a strictly serial walk.
+    /// Scheduling-only: the set of fetched objects and issued queries does
+    /// not depend on the window absent loss.
+    pub fn with_window(
+        me: u32,
+        n: usize,
+        seq: u64,
+        target: Digest,
+        window: usize,
+        window_max: usize,
+    ) -> Self {
         let window = window.max(1);
         Self {
             me,
@@ -247,8 +223,7 @@ impl Fetcher {
             outstanding: HashMap::new(),
             pending: VecDeque::new(),
             window,
-            adaptive: false,
-            window_max: window,
+            window_max: window_max.max(window),
             peak_window: window,
             rtt: RttEstimator::new(seq ^ u64::from(me), 1, MAX_BACKOFF_TICKS, 1),
             objects: Vec::new(),
@@ -258,47 +233,22 @@ impl Fetcher {
             retransmissions: 0,
             fetched_bytes: 0,
             meta_queries: 0,
-            coded: None,
-            units: HashMap::new(),
+            chunk_size: 0,
             chunked: HashMap::new(),
             chunk_queries: 0,
-            frag_queries: 0,
             chunks_reused: 0,
             done: false,
         }
     }
 
-    /// Switches the fetcher to erasure-coded object transfer: out-of-date
-    /// objects are fetched as `(k, m)` Reed–Solomon fragments spread over
-    /// the sources instead of whole values from one source. With
-    /// `chunk_size > 0` the leaf digests must be chunked folds
-    /// ([`crate::tree::chunked_leaf_digest`]); the fetcher first retrieves
-    /// an object's chunk-digest list, reuses local chunks that already
-    /// match, and fragments only the missing chunks. Parity fragments are
-    /// requested only when a data fragment is lost to corruption.
-    pub fn enable_coded(&mut self, k: usize, m: usize, chunk_size: usize) {
-        assert!(k >= 1, "coded transfer needs k >= 1 data fragments");
-        self.coded = Some(CodedCfg { k, m, chunk_size });
-    }
-
-    /// Creates a fetcher whose window adapts between `window` and
-    /// `window_max` — additive increase on timely verified replies,
-    /// halving on retransmission — and whose per-query retry backoff
-    /// derives from the observed reply latency instead of a fixed
-    /// schedule. Scheduling-only: the set of fetched objects and issued
-    /// queries is identical to a pinned-window fetch absent loss.
-    pub fn adaptive(
-        me: u32,
-        n: usize,
-        seq: u64,
-        target: Digest,
-        window: usize,
-        window_max: usize,
-    ) -> Self {
-        let mut f = Self::with_window(me, n, seq, target, window);
-        f.adaptive = true;
-        f.window_max = window_max.max(f.window);
-        f
+    /// Switches the fetcher to chunked objects: the leaf digests must be
+    /// chunked folds ([`crate::tree::chunked_leaf_digest`]) under
+    /// `chunk_size`. Each out-of-date object's chunk-digest list is fetched
+    /// first; local chunks that already match are reused and only the
+    /// missing chunks move. `chunk_size = 0` keeps whole-object fetches.
+    pub fn chunked(mut self, chunk_size: usize) -> Self {
+        self.chunk_size = chunk_size;
+        self
     }
 
     /// The current pipelining window.
@@ -365,11 +315,10 @@ impl Fetcher {
                 index,
                 replica: self.me,
             }),
-            FetchKey::Frag { index, chunk, frag } => Message::FetchFrag(FetchFragMsg {
+            FetchKey::Chunk { index, chunk } => Message::FetchChunk(FetchChunkMsg {
                 seq: self.seq,
                 index,
                 chunk,
-                frag,
                 replica: self.me,
             }),
         }
@@ -385,9 +334,7 @@ impl Fetcher {
             FetchKey::Meta { level, index } => 3 ^ ((level as u64) << 32) ^ index,
             FetchKey::Object { index } => 5 ^ index,
             FetchKey::Chunks { index } => 7 ^ index,
-            FetchKey::Frag { index, chunk, frag } => {
-                11 ^ index ^ ((chunk as u64) << 20) ^ ((frag as u64) << 52)
-            }
+            FetchKey::Chunk { index, chunk } => 11 ^ index ^ (u64::from(chunk) << 20),
         };
         let mut x = self.seq ^ code ^ (u64::from(attempts) << 48) ^ 0x9e37_79b9_7f4a_7c15;
         x ^= x >> 30;
@@ -396,15 +343,11 @@ impl Fetcher {
         if max == 0 { 0 } else { x % (max + 1) }
     }
 
-    /// Exponential backoff (in ticks) for the next retry of `key`, plus
-    /// jitter of up to half the backoff. Adaptive fetchers scale from the
-    /// observed reply-latency RTO instead of a fixed one-tick base.
+    /// Exponential backoff (in ticks) for the next retry of `key`, scaled
+    /// from the observed reply-latency RTO, plus jitter of up to half the
+    /// backoff.
     fn backoff_ticks(&self, key: FetchKey, attempts: u32) -> u64 {
-        let base = if self.adaptive {
-            self.rtt.backoff(attempts)
-        } else {
-            (1u64 << attempts.min(5)).min(MAX_BACKOFF_TICKS)
-        };
+        let base = self.rtt.backoff(attempts);
         base + self.jitter(key, attempts, base / 2)
     }
 
@@ -413,13 +356,11 @@ impl Fetcher {
     /// Returns false when the query was not outstanding (stale reply).
     fn consume(&mut self, key: FetchKey) -> bool {
         let Some(o) = self.outstanding.remove(&key) else { return false };
-        if self.adaptive {
-            let lat = self.ticks.saturating_sub(o.sent_at);
-            self.rtt.observe(lat);
-            if lat <= self.rtt.rto() && self.window < self.window_max {
-                self.window += 1;
-                self.peak_window = self.peak_window.max(self.window);
-            }
+        let lat = self.ticks.saturating_sub(o.sent_at);
+        self.rtt.observe(lat);
+        if lat <= self.rtt.rto() && self.window < self.window_max {
+            self.window += 1;
+            self.peak_window = self.peak_window.max(self.window);
         }
         true
     }
@@ -439,7 +380,6 @@ impl Fetcher {
             match key {
                 FetchKey::Meta { .. } | FetchKey::Root => self.meta_queries += 1,
                 FetchKey::Chunks { .. } => self.chunk_queries += 1,
-                FetchKey::Frag { .. } => self.frag_queries += 1,
                 _ => {}
             }
             let msg = self.request_for(key);
@@ -451,33 +391,15 @@ impl Fetcher {
         }
     }
 
-    /// Drops a query that is no longer needed (its coded unit completed
-    /// from other fragments), whether parked or on the wire, and lets a
-    /// parked query take the freed slot.
-    fn cancel(&mut self, key: FetchKey, out: &mut Vec<(u32, Message)>) {
-        self.outstanding.remove(&key);
-        self.pending.retain(|(k, _)| *k != key);
-        self.pump(out);
-    }
-
-    /// Issues the fetch for one out-of-date object, routed by mode: legacy
-    /// whole-object query, chunk-digest list (chunked coded), or `k` data
-    /// fragment queries (whole-object coded).
+    /// Issues the fetch for one out-of-date object: the whole value, or
+    /// its chunk-digest list when leaves are chunked.
     fn issue_object(&mut self, index: u64, expected: Digest, out: &mut Vec<(u32, Message)>) {
-        match self.coded {
-            None => self.issue(FetchKey::Object { index }, expected, out),
-            Some(c) if c.chunk_size > 0 => self.issue(FetchKey::Chunks { index }, expected, out),
-            Some(c) => {
-                let unit = self
-                    .units
-                    .entry((index, CHUNK_WHOLE))
-                    .or_insert_with(|| CodedUnit::new(expected, None));
-                unit.issued = c.k as u32;
-                for frag in 0..c.k as u32 {
-                    self.issue(FetchKey::Frag { index, chunk: CHUNK_WHOLE, frag }, expected, out);
-                }
-            }
-        }
+        let key = if self.chunk_size == 0 {
+            FetchKey::Object { index }
+        } else {
+            FetchKey::Chunks { index }
+        };
+        self.issue(key, expected, out);
     }
 
     /// Re-issues an already outstanding query to the next source, bumping
@@ -494,11 +416,9 @@ impl Fetcher {
             o.sent_at = self.ticks;
         }
         self.retransmissions += 1;
-        if self.adaptive {
-            // Multiplicative decrease: a lost or corrupt reply means the
-            // sources (or the path) are struggling — back the window off.
-            self.window = (self.window / 2).max(1);
-        }
+        // Multiplicative decrease: a lost or corrupt reply means the
+        // sources (or the path) are struggling — back the window off.
+        self.window = (self.window / 2).max(1);
         Some((self.next_source(), self.request_for(key)))
     }
 
@@ -529,9 +449,7 @@ impl Fetcher {
             FetchKey::Meta { level, index } => (2, level as u64, index),
             FetchKey::Object { index } => (3, 0, index),
             FetchKey::Chunks { index } => (4, 0, index),
-            FetchKey::Frag { index, chunk, frag } => {
-                (5, index, (u64::from(chunk) << 32) | u64::from(frag))
-            }
+            FetchKey::Chunk { index, chunk } => (5, index, u64::from(chunk)),
         });
         due.into_iter().filter_map(|key| self.reissue(key)).collect()
     }
@@ -697,7 +615,8 @@ impl Fetcher {
         if self.done || m.seq != self.seq {
             return (Vec::new(), None);
         }
-        let Some(c) = self.coded else { return (Vec::new(), None) };
+        // Only chunked fetchers issue chunk-list queries, so an
+        // outstanding one implies `chunk_size > 0`.
         let key = FetchKey::Chunks { index: m.index };
         let expected = match self.outstanding.get(&key) {
             Some(o) => o.expected,
@@ -705,9 +624,9 @@ impl Fetcher {
         };
         // The fold binds both the length and every chunk digest to the
         // (certified) leaf digest, so `len` is as trustworthy as the data.
+        let cs = self.chunk_size;
         let len = m.len as usize;
-        if c.chunk_size == 0
-            || m.digests.len() != len.div_ceil(c.chunk_size)
+        if m.digests.len() != len.div_ceil(cs)
             || crate::tree::chunked_leaf_from_digests(m.index, m.len, &m.digests) != expected
         {
             self.corrupt_replies += 1;
@@ -721,8 +640,8 @@ impl Fetcher {
         let mut chunks: Vec<Option<Vec<u8>>> = vec![None; m.digests.len()];
         let mut remaining = 0usize;
         for (ci, d) in m.digests.iter().enumerate() {
-            let start = ci * c.chunk_size;
-            let end = ((ci + 1) * c.chunk_size).min(len);
+            let start = ci * cs;
+            let end = (start + cs).min(len);
             // Reuse the local bytes at this chunk's position when they hash
             // to the verified remote digest — correct whatever the local
             // object has drifted to, because equality is checked against
@@ -733,177 +652,62 @@ impl Fetcher {
             if let Some(cand) = reused {
                 chunks[ci] = Some(cand.to_vec());
                 self.chunks_reused += 1;
-                continue;
-            }
-            remaining += 1;
-            let unit = self
-                .units
-                .entry((m.index, ci as u32))
-                .or_insert_with(|| CodedUnit::new(*d, Some((end - start) as u64)));
-            unit.issued = c.k as u32;
-            for frag in 0..c.k as u32 {
-                self.issue(FetchKey::Frag { index: m.index, chunk: ci as u32, frag }, *d, &mut out);
+            } else {
+                remaining += 1;
+                self.issue(FetchKey::Chunk { index: m.index, chunk: ci as u32 }, *d, &mut out);
             }
         }
+        let obj = ChunkedObject { len: m.len, remaining, chunks };
         if remaining == 0 {
             // Everything reused (or a zero-length object): assemble now.
-            let mut value = Vec::with_capacity(len);
-            for ch in chunks {
-                value.extend_from_slice(&ch.expect("no chunk outstanding"));
-            }
-            self.objects.push((m.index, Some(value)));
+            self.objects.push((m.index, Some(obj.assemble())));
         } else {
-            self.chunked.insert(m.index, ChunkedObject { len: m.len, remaining, chunks });
+            self.chunked.insert(m.index, obj);
         }
         self.pump(&mut out);
         (out, self.maybe_complete())
     }
 
-    /// Handles a fragment reply: validates its geometry, banks it in the
-    /// unit, and attempts reconstruction once `k` fragments are in.
-    pub fn on_frag_reply(&mut self, m: &FragReplyMsg) -> (Vec<(u32, Message)>, Option<FetchResult>) {
+    /// Handles a chunk reply: checks its length and chunk digest, banks it,
+    /// and assembles the object once its last chunk lands.
+    pub fn on_chunk_reply(&mut self, m: &ChunkReplyMsg) -> (Vec<(u32, Message)>, Option<FetchResult>) {
         if self.done || m.seq != self.seq {
             return (Vec::new(), None);
         }
-        let Some(c) = self.coded else { return (Vec::new(), None) };
-        let key = FetchKey::Frag { index: m.index, chunk: m.chunk, frag: m.frag };
-        if !self.outstanding.contains_key(&key) {
-            return (Vec::new(), None);
-        }
-        let Some(unit) = self.units.get_mut(&(m.index, m.chunk)) else {
+        let key = FetchKey::Chunk { index: m.index, chunk: m.chunk };
+        let (Some(o), Some(obj)) = (self.outstanding.get(&key), self.chunked.get(&m.index)) else {
             return (Vec::new(), None);
         };
-        // Geometry check. With a verified length (chunked mode) the reply
-        // must match it exactly; whole-object units treat the claimed
-        // length as a candidate to be arbitrated by the digest check.
-        let geometry_ok = (m.frag as usize) < c.k + c.m
-            && match unit.len {
-                Some(l) => m.len == l && m.data.len() == fec::fragment_len(l as usize, c.k),
-                None => m.data.len() == fec::fragment_len(m.len as usize, c.k),
-            };
-        if !geometry_ok {
+        let ci = m.chunk as usize;
+        let start = ci * self.chunk_size;
+        let want_len = (obj.len as usize).min(start + self.chunk_size) - start;
+        if m.data.len() != want_len
+            || crate::tree::chunk_digest(m.index, m.chunk, &m.data) != o.expected
+        {
             self.corrupt_replies += 1;
             let out = self.reissue(key).into_iter().collect();
             return (out, None);
         }
-        if unit.len.is_none() && !unit.lens_seen.contains(&m.len) {
-            unit.lens_seen.push(m.len);
-            unit.lens_seen.sort_unstable();
-        }
-        unit.frags.entry(m.frag).or_insert_with(|| m.data.clone());
         self.consume(key);
         self.fetched_bytes += m.data.len() as u64;
+        if let Some(obj) = self.chunked.get_mut(&m.index) {
+            obj.chunks[ci] = Some(m.data.clone());
+            obj.remaining -= 1;
+            if obj.remaining == 0 {
+                if let Some(obj) = self.chunked.remove(&m.index) {
+                    self.objects.push((m.index, Some(obj.assemble())));
+                }
+            }
+        }
         let mut out = Vec::new();
-        self.try_unit(m.index, m.chunk, &mut out);
         self.pump(&mut out);
         (out, self.maybe_complete())
-    }
-
-    /// Attempts to reconstruct one coded unit from its banked fragments;
-    /// on digest failure with every issued fragment in, escalates to
-    /// parity fragments and then to a fresh fetch round (rotated sources).
-    fn try_unit(&mut self, index: u64, chunk: u32, out: &mut Vec<(u32, Message)>) {
-        let Some(c) = self.coded else { return };
-        let Some(unit) = self.units.get(&(index, chunk)) else { return };
-        if unit.frags.len() < c.k {
-            return;
-        }
-        let expected = unit.expected;
-        let check = |data: &[u8]| {
-            if chunk == CHUNK_WHOLE {
-                crate::tree::leaf_digest(index, data) == expected
-            } else {
-                crate::tree::chunk_digest(index, chunk, data) == expected
-            }
-        };
-        let candidates: Vec<u64> = match unit.len {
-            Some(l) => vec![l],
-            None => unit.lens_seen.clone(),
-        };
-        let frag_vec: Vec<(usize, Vec<u8>)> =
-            unit.frags.iter().map(|(id, d)| (*id as usize, d.clone())).collect();
-        for &len in &candidates {
-            let flen = fec::fragment_len(len as usize, c.k);
-            let fit: Vec<(usize, Vec<u8>)> =
-                frag_vec.iter().filter(|(_, d)| d.len() == flen).cloned().collect();
-            if fit.len() < c.k {
-                continue;
-            }
-            if let Some(data) = fec::reconstruct_verified(&fit, c.k, c.m, len as usize, check) {
-                self.complete_unit(index, chunk, data, out);
-                return;
-            }
-        }
-        // >= k fragments and no verifiable reconstruction: wait for the
-        // stragglers; once every issued fragment has answered, at least one
-        // banked fragment is corrupt.
-        let (received, issued, escalated) = {
-            let u = &self.units[&(index, chunk)];
-            (u.frags.len() as u32, u.issued, u.escalated)
-        };
-        if received < issued {
-            return;
-        }
-        self.corrupt_replies += 1;
-        if !escalated && c.m > 0 {
-            // Escalate: pull parity fragments so `reconstruct_verified` can
-            // vote the corrupt fragment out.
-            let u = self.units.get_mut(&(index, chunk)).expect("unit exists");
-            u.escalated = true;
-            u.issued = (c.k + c.m) as u32;
-            for frag in c.k as u32..(c.k + c.m) as u32 {
-                self.issue(FetchKey::Frag { index, chunk, frag }, expected, out);
-            }
-        } else {
-            // Even the full fragment set cannot be verified (more corrupt
-            // fragments than parity). Start the unit over — the round-robin
-            // cursor has moved on, so the retry lands on different sources.
-            let u = self.units.get_mut(&(index, chunk)).expect("unit exists");
-            u.frags.clear();
-            u.lens_seen.clear();
-            u.escalated = false;
-            u.issued = c.k as u32;
-            self.retransmissions += 1;
-            for frag in 0..c.k as u32 {
-                self.issue(FetchKey::Frag { index, chunk, frag }, expected, out);
-            }
-        }
-    }
-
-    /// Banks a verified reconstruction: cancels the unit's remaining
-    /// fragment queries and, for chunked objects, assembles the value once
-    /// the last chunk lands.
-    fn complete_unit(&mut self, index: u64, chunk: u32, data: Vec<u8>, out: &mut Vec<(u32, Message)>) {
-        let unit = self.units.remove(&(index, chunk)).expect("unit exists");
-        for frag in 0..unit.issued {
-            self.cancel(FetchKey::Frag { index, chunk, frag }, out);
-        }
-        if chunk == CHUNK_WHOLE {
-            self.objects.push((index, Some(data)));
-            return;
-        }
-        let obj = self.chunked.get_mut(&index).expect("chunked object exists");
-        let ci = chunk as usize;
-        if obj.chunks[ci].is_none() {
-            obj.chunks[ci] = Some(data);
-            obj.remaining -= 1;
-        }
-        if obj.remaining == 0 {
-            let obj = self.chunked.remove(&index).expect("just seen");
-            let mut value = Vec::with_capacity(obj.len as usize);
-            for ch in obj.chunks {
-                value.extend_from_slice(&ch.expect("remaining == 0"));
-            }
-            debug_assert_eq!(value.len() as u64, obj.len);
-            self.objects.push((index, Some(value)));
-        }
     }
 
     fn maybe_complete(&mut self) -> Option<FetchResult> {
         if self.done
             || !self.outstanding.is_empty()
             || !self.pending.is_empty()
-            || !self.units.is_empty()
             || !self.chunked.is_empty()
             || self.service_root.is_none()
             || self.replies_blob.is_none()
@@ -922,7 +726,6 @@ impl Fetcher {
             retransmissions: self.retransmissions,
             peak_window: self.peak_window,
             chunk_queries: self.chunk_queries,
-            frag_queries: self.frag_queries,
             chunks_reused: self.chunks_reused,
         })
     }

@@ -5,8 +5,8 @@
 
 use base_crypto::{Authenticator, Digest, Mac, Signature};
 use base_pbft::messages::{
-    CheckpointMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunksMsg, FetchFragMsg,
-    FetchMetaMsg, FetchObjectMsg, FragReplyMsg, PrePrepareMsg, PrepareMsg, PreparedProof,
+    CheckpointMsg, ChunkReplyMsg, ChunksReplyMsg, CommitMsg, FetchCertMsg, FetchChunkMsg,
+    FetchChunksMsg, FetchMetaMsg, FetchObjectMsg, PrePrepareMsg, PrepareMsg, PreparedProof,
     ReplyMsg, RequestMsg, StatusMsg, ViewChangeMsg,
 };
 use base_pbft::Message;
@@ -190,12 +190,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
             .prop_map(|(seq, index, len, digests, replica)| {
                 Message::ChunksReply(ChunksReplyMsg { seq, index, len, digests, replica })
             }),
-        (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), 0u32..N as u32).prop_map(
-            |(seq, index, chunk, frag, replica)| Message::FetchFrag(FetchFragMsg {
+        (any::<u64>(), any::<u64>(), any::<u32>(), 0u32..N as u32).prop_map(
+            |(seq, index, chunk, replica)| Message::FetchChunk(FetchChunkMsg {
                 seq,
                 index,
                 chunk,
-                frag,
                 replica,
             })
         ),
@@ -203,13 +202,11 @@ fn arb_message() -> impl Strategy<Value = Message> {
             any::<u64>(),
             any::<u64>(),
             any::<u32>(),
-            any::<u32>(),
-            any::<u64>(),
             proptest::collection::vec(any::<u8>(), 0..128),
             0u32..N as u32,
         )
-            .prop_map(|(seq, index, chunk, frag, len, data, replica)| {
-                Message::FragReply(FragReplyMsg { seq, index, chunk, frag, len, data, replica })
+            .prop_map(|(seq, index, chunk, data, replica)| {
+                Message::ChunkReply(ChunkReplyMsg { seq, index, chunk, data, replica })
             }),
     ]
 }

@@ -226,7 +226,7 @@ fn fetch_window_bounds_outstanding_queries() {
     let local = PartitionTree::new(64, 4);
 
     // Window 1: strictly serial — never more than one unanswered query.
-    let mut serial = Fetcher::with_window(3, 4, 128, remote.composite(), 1);
+    let mut serial = Fetcher::with_window(3, 4, 128, remote.composite(), 1, 1);
     let (result, max_inflight) = drive_counting(&mut serial, &remote, &local);
     let serial_result = result.expect("serial fetch completes");
     assert_eq!(max_inflight, 1, "window 1 keeps exactly one query in flight");

@@ -59,7 +59,7 @@ pub enum NetFault {
     },
     /// Drop a fraction of one protocol message kind, selected by its
     /// leading 4-byte wire discriminant (targeted starvation, e.g. of
-    /// erasure-coded fragment replies).
+    /// state-transfer chunk replies).
     DropTagged {
         /// Wire discriminant of the targeted message kind.
         tag: u32,
@@ -1250,6 +1250,9 @@ pub fn run_campaign_mode<H: ChaosHarness>(
     report
 }
 
+/// One seed's campaign result, parked until the in-order fold.
+type SeedSlot = Option<(usize, Coverage, Option<FailureReport>)>;
+
 /// Parallel [`run_campaign_mode`]: a pool of `workers` std threads, each
 /// with its own harness (from `factory`) and therefore its own
 /// `Simulation` per run. Seeds are claimed from a shared queue; results
@@ -1270,8 +1273,7 @@ where
     let seeds: Vec<u64> = seeds.into_iter().collect();
     let workers = workers.max(1).min(seeds.len().max(1));
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<(usize, Coverage, Option<FailureReport>)>>> =
-        Mutex::new(vec![None; seeds.len()]);
+    let slots: Mutex<Vec<SeedSlot>> = Mutex::new(vec![None; seeds.len()]);
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -1321,7 +1323,7 @@ mod tests {
         fn on_message(&mut self, from: NodeId, payload: &[u8], ctx: &mut Context<'_>) {
             match payload {
                 b"ping" => ctx.send(from, b"pong".to_vec()),
-                b"pong" => self.pongs[from.0 as usize] += 1,
+                b"pong" => self.pongs[from.0] += 1,
                 _ => {}
             }
         }
@@ -1348,7 +1350,7 @@ mod tests {
                 sim.add_node(Box::new(Pinger {
                     id: *id,
                     peers: peers.clone(),
-                    pongs: vec![0; self.n as usize],
+                    pongs: vec![0; self.n],
                 }));
             }
             sim
@@ -1400,7 +1402,7 @@ mod tests {
         let report = run_campaign(&mut h, &gen_cfg(), 0..10);
         assert_eq!(report.runs, 10);
         assert!(report.events_executed > 0, "campaign generated no events");
-        for f in &report.failures {
+        if let Some(f) = report.failures.first() {
             panic!("unexpected failure:\n{f}");
         }
     }

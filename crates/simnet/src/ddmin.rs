@@ -361,7 +361,7 @@ fn units_to_prob(u: u64) -> f64 {
 fn shrink_parameters<H: ChaosHarness>(
     harness: &mut H,
     seed: u64,
-    current: &mut Vec<TimedEvent>,
+    current: &mut [TimedEvent],
     cache: &mut TestCache,
 ) {
     shrink_parameters_with(current, &mut |events, idx, hi, rebuild| {
@@ -369,14 +369,18 @@ fn shrink_parameters<H: ChaosHarness>(
     });
 }
 
+/// Searches `[0, hi]` for the smallest still-failing value of parameter
+/// `idx` of `events`, rebuilding the probed event from a candidate value.
+type ShrinkFn<'a> = dyn FnMut(&[TimedEvent], usize, u64, &dyn Fn(u64) -> TimedEvent) -> u64 + 'a;
+
 /// The shrink *plan* shared by the sequential and parallel passes: which
 /// parameters each event exposes, in which order, and how a probed value
 /// rebuilds the event. `shrink` searches `[0, hi]` for the smallest
 /// still-failing value of one parameter (binary search sequentially,
 /// k-way partition search in parallel) and returns it.
 fn shrink_parameters_with(
-    current: &mut Vec<TimedEvent>,
-    shrink: &mut dyn FnMut(&[TimedEvent], usize, u64, &dyn Fn(u64) -> TimedEvent) -> u64,
+    current: &mut [TimedEvent],
+    shrink: &mut ShrinkFn<'_>,
 ) {
     for idx in 0..current.len() {
         let ev = current[idx].clone();
@@ -572,6 +576,9 @@ where
     DdminOutcome { schedule: minimal, outcome, metrics: cache.metrics }
 }
 
+/// One candidate's probe result: did it fail, and its outcome if it ran.
+type ProbeSlot = Option<(bool, Option<RunOutcome>)>;
+
 /// Probes a batch of candidate schedules, executing the uncached ones on a
 /// worker pool, and returns each candidate's verdict in order.
 ///
@@ -613,8 +620,7 @@ where
 
     // Execute the unique uncached candidates on the pool; results land in
     // per-candidate slots (same shape as `run_campaign_parallel`).
-    let slots: std::sync::Mutex<Vec<Option<(bool, Option<RunOutcome>)>>> =
-        std::sync::Mutex::new(vec![None; to_run.len()]);
+    let slots: std::sync::Mutex<Vec<ProbeSlot>> = std::sync::Mutex::new(vec![None; to_run.len()]);
     let next = std::sync::atomic::AtomicUsize::new(0);
     let pool = workers.max(1).min(to_run.len().max(1));
     std::thread::scope(|scope| {
@@ -785,7 +791,7 @@ where
 fn shrink_parameters_parallel<H, F>(
     factory: &F,
     seed: u64,
-    current: &mut Vec<TimedEvent>,
+    current: &mut [TimedEvent],
     cache: &mut TestCache,
     workers: usize,
 ) where

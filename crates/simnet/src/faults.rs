@@ -103,8 +103,7 @@ impl NetFilter for BitFlipper {
 /// discriminant equals `tag` — targeted loss of one protocol message kind
 /// (the protocol's XDR envelope puts the variant tag first, so the filter
 /// needs no protocol dependency). Used by the chaos campaigns to starve
-/// specific exchanges, e.g. erasure-coded fragment replies during state
-/// transfer.
+/// specific exchanges, e.g. chunk replies during state transfer.
 #[derive(Debug, Clone)]
 pub struct TaggedDropper {
     /// Wire discriminant of the targeted message kind.

@@ -207,8 +207,7 @@ pub fn build_spans(events: &[TraceEvent]) -> Vec<OpSpan> {
         let proposal = raw
             .proposals
             .iter()
-            .filter(|(at, ..)| *at <= horizon)
-            .next_back()
+            .rfind(|(at, ..)| *at <= horizon)
             .or_else(|| raw.proposals.first());
         if let Some(&(p_at, view, seq, queue_ns)) = proposal {
             span.view = view;
